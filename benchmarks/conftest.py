@@ -3,6 +3,9 @@
 Every benchmark regenerates one of the paper's tables or figures.  Results
 are printed to stdout (run with ``-s`` to see them) and written as text files
 under ``benchmarks/results/`` so EXPERIMENTS.md can reference concrete runs.
+The written files hold deterministic columns only (see
+:data:`TIMING_COLUMNS`), so a diff under ``benchmarks/results/`` is always a
+behaviour change; timings are measured by ``perfbench/``.
 
 Environment knobs:
 
@@ -21,9 +24,23 @@ from pathlib import Path
 
 import pytest
 
+from repro.eval import format_table
 from repro.pipeline.batch import ResultCache
 
 RESULTS_DIR = Path(__file__).parent / "results"
+
+#: Columns holding single-sample timings, or figures derived from them, that
+#: differ on every run.  Printed tables keep them; result files leave them out.
+TIMING_COLUMNS = frozenset(
+    {"compile_s", "compile_time_ratio", "wall_s", "mapping_s", "schedule_s", "peak_rss_mb"}
+)
+
+
+def result_table(rows: list[dict], title: str) -> str:
+    """The text of a committed result file: ``rows`` without :data:`TIMING_COLUMNS`."""
+    return format_table(
+        [{k: v for k, v in row.items() if k not in TIMING_COLUMNS} for row in rows], title=title
+    )
 
 
 def full_benchmarks_enabled() -> bool:

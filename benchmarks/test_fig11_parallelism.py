@@ -12,10 +12,11 @@ a coarser parallelism grid to keep wall-clock time reasonable — set
 
 from __future__ import annotations
 
-from conftest import full_benchmarks_enabled
+from conftest import full_benchmarks_enabled, result_table
 
 from repro.chip import SurfaceCodeModel
 from repro.eval import figure11_parallelism, format_sweep
+from repro.eval.report import sweep_rows
 
 
 def _parameters():
@@ -37,9 +38,9 @@ def test_figure11a_lattice_surgery(benchmark, save_result):
         rounds=1,
         iterations=1,
     )
-    text = format_sweep(points, title="Figure 11a — Effect of circuit parallelism (lattice surgery)")
-    print("\n" + text)
-    save_result("fig11a_lattice_surgery.txt", text)
+    title = "Figure 11a — Effect of circuit parallelism (lattice surgery)"
+    print("\n" + format_sweep(points, title=title))
+    save_result("fig11a_lattice_surgery.txt", result_table(sweep_rows(points), title))
 
     baseline = _series(points, "baseline")
     ecmas = _series(points, "ecmas")
@@ -58,9 +59,9 @@ def test_figure11b_double_defect(benchmark, save_result):
         rounds=1,
         iterations=1,
     )
-    text = format_sweep(points, title="Figure 11b — Effect of circuit parallelism (double defect)")
-    print("\n" + text)
-    save_result("fig11b_double_defect.txt", text)
+    title = "Figure 11b — Effect of circuit parallelism (double defect)"
+    print("\n" + format_sweep(points, title=title))
+    save_result("fig11b_double_defect.txt", result_table(sweep_rows(points), title))
 
     baseline = _series(points, "baseline")
     ecmas = _series(points, "ecmas")

@@ -3,15 +3,17 @@
 For circuits of parallelism 11 and 21 (49 qubits, depth 50) the chip size is
 swept so the corridor bandwidth rises from 1 to 5, reporting the averaged
 cycle count and the compile-time ratio relative to the smallest chip, for
-both surface-code models.
+both surface-code models.  The compile-time columns are printed only; the
+result files keep the deterministic cycle counts.
 """
 
 from __future__ import annotations
 
-from conftest import full_benchmarks_enabled
+from conftest import full_benchmarks_enabled, result_table
 
 from repro.chip import SurfaceCodeModel
 from repro.eval import figure12_chip_size, format_sweep
+from repro.eval.report import sweep_rows
 
 
 def _parameters():
@@ -41,15 +43,15 @@ def _check_trend(points, series_prefix):
 
 def test_figure12_double_defect(benchmark, save_result):
     points = benchmark.pedantic(lambda: _run(SurfaceCodeModel.DOUBLE_DEFECT), rounds=1, iterations=1)
-    text = format_sweep(points, title="Figure 12 — Effect of chip size (double defect)")
-    print("\n" + text)
-    save_result("fig12_double_defect.txt", text)
+    title = "Figure 12 — Effect of chip size (double defect)"
+    print("\n" + format_sweep(points, title=title))
+    save_result("fig12_double_defect.txt", result_table(sweep_rows(points), title))
     _check_trend(points, "ecmas")
 
 
 def test_figure12_lattice_surgery(benchmark, save_result):
     points = benchmark.pedantic(lambda: _run(SurfaceCodeModel.LATTICE_SURGERY), rounds=1, iterations=1)
-    text = format_sweep(points, title="Figure 12 — Effect of chip size (lattice surgery)")
-    print("\n" + text)
-    save_result("fig12_lattice_surgery.txt", text)
+    title = "Figure 12 — Effect of chip size (lattice surgery)"
+    print("\n" + format_sweep(points, title=title))
+    save_result("fig12_lattice_surgery.txt", result_table(sweep_rows(points), title))
     _check_trend(points, "ecmas")

@@ -37,7 +37,8 @@ def test_para_finding_random_circuit(benchmark):
 
 def test_kl_placement_qft30(benchmark):
     graph = standard.qft(30).communication_graph()
-    placement = benchmark(lambda: best_placement(graph, 6, 6, attempts=2, seed=0))
+    chip = Chip.with_tile_array(SurfaceCodeModel.DOUBLE_DEFECT, 3, 6, 6)
+    placement = benchmark(lambda: best_placement(graph, chip, attempts=2, seed=0))
     assert placement.num_qubits() == 30
 
 

@@ -1,10 +1,9 @@
-"""DOC001: docstring coverage, unified under ``repro lint``.
+"""DOC001: docstring coverage, the repository's one docstring gate.
 
-The measurement logic lived in ``tools/check_docstrings.py`` (the stdlib
-interrogate-equivalent the docs CI job runs); it now lives here so docstring
-coverage, determinism and fingerprint checks run under one command with one
-baseline/pragma format.  The standalone script remains as a thin CLI shim
-over :func:`measure` for CI back-compat.
+Docstring coverage runs under ``repro lint`` beside the determinism and
+fingerprint checks, with one command and one baseline/pragma format.
+:func:`measure` is also what ``tests/test_docs.py`` calls to hold selected
+packages at full coverage.
 
 Counted definitions: modules, public classes, and public functions/methods.
 A leading underscore marks something private; dunders, nested functions and

@@ -19,13 +19,27 @@ Graph chips
 A chip may instead carry an explicit :class:`~repro.chip.tile_graph.TileGraph`
 (heavy-hex, degree-3, sparse layouts — see :mod:`repro.chip.tile_graph`).
 Graph chips address tile slot ``i`` as ``TileSlot(i, 0)`` — ``tile_rows`` is
-the node count and ``tile_cols`` is 1 — and replace the corridor vectors with
-per-edge bandwidths: segments are keyed ``("e", a, b)``, distances come from
-BFS hops instead of Manhattan geometry (:meth:`Chip.slot_distance`), and
-bandwidth adjusting redistributes lanes per edge under per-node width budgets
-(:meth:`Chip.with_edge_bandwidths`).  Square chips are untouched by all of
-this: their representation, validation, and every derived quantity are
-bit-identical to the pre-graph model.
+the node count and ``tile_cols`` is 1 — and carry per-edge bandwidths instead
+of corridor vectors, with segments keyed ``("e", a, b)``.
+
+The chip layer answers every question whose answer depends on the geometry,
+so the routing graph, placement and bandwidth adjusting each run one routine
+for both kinds of chip:
+
+* :meth:`Chip.junctions`, :meth:`Chip.corridor_segments` and
+  :meth:`Chip.tile_junctions` describe the corridor network (a tile attaches
+  to its four corner junctions, or to its node's own junction);
+* :meth:`Chip.segment_corridor` names the corridor whose load a segment
+  accumulates (``("h", r)``, ``("v", c)`` or ``("e", edge index)``);
+* :meth:`Chip.slot_distance` is Manhattan distance, or the BFS hop count;
+* :func:`repro.chip.regions.slot_region` orders and splits the alive slots
+  for placement;
+* :attr:`Chip.lane_budget_scope` says whether lanes are budgeted per axis
+  (:meth:`Chip.with_bandwidths`) or per node
+  (:meth:`Chip.with_edge_bandwidths`).
+
+On square chips the answers are the paper's grid model; the mapping-stage
+goldens (``tests/test_mapping_goldens.py``) pin their outputs.
 """
 
 from __future__ import annotations
@@ -264,6 +278,36 @@ class Chip:
         """True when ``slot`` lies within the tile array."""
         return 0 <= slot.row < self.tile_rows and 0 <= slot.col < self.tile_cols
 
+    # ------------------------------------------------------- corridor network
+    def junctions(self) -> list[tuple[int, int]]:
+        """Every corridor junction as ``(row, col)``, in routing-graph order.
+
+        Square chips have one junction per corridor crossing, row-major;
+        graph chips have one per tile-graph node, addressed ``(node, 0)``.
+        """
+        if self.tile_graph is not None:
+            return [(node, 0) for node in range(self.tile_graph.num_nodes)]
+        return [(r, c) for r in range(self.tile_rows + 1) for c in range(self.tile_cols + 1)]
+
+    def tile_junctions(self, slot: TileSlot) -> tuple[tuple[int, int], ...]:
+        """The junctions a tile attaches to: its four corners, or its node's own junction."""
+        if self.tile_graph is not None:
+            return ((slot.row, 0),)
+        r, c = slot.row, slot.col
+        return ((r, c), (r, c + 1), (r + 1, c), (r + 1, c + 1))
+
+    def segment_corridor(self, key: SegmentKey) -> tuple[str, int]:
+        """The corridor a segment belongs to, as bandwidth adjusting counts load.
+
+        ``("h", r)`` for a segment of horizontal corridor ``r``, ``("v", c)``
+        for vertical corridor ``c``, and ``("e", index)`` for the tile-graph
+        edge with that index.
+        """
+        kind, a, b = key
+        if kind == "e":
+            return ("e", self.tile_graph.edge_index(a, b))
+        return ("h", a) if kind == "h" else ("v", b)
+
     # ---------------------------------------------------------------- defects
     def with_defects(self, defects: DefectSpec) -> "Chip":
         """Return a chip with ``defects`` attached (replacing any existing spec)."""
@@ -327,6 +371,18 @@ class Chip:
         ]
 
     # ------------------------------------------------------ bandwidth adjusting
+    @property
+    def lane_budget_scope(self) -> str:
+        """Where the physical lane budget applies: ``"axis"`` or ``"node"``.
+
+        Square chips cap the total lanes of each corridor axis
+        (:meth:`lane_budget_per_axis`); graph chips cap the lanes incident to
+        each tile-graph node
+        (:meth:`~repro.chip.tile_graph.TileGraph.effective_node_budgets`).
+        Bandwidth adjusting picks its allocation policy by this scope.
+        """
+        return "axis" if self.tile_graph is None else "node"
+
     def lane_budget_per_axis(self) -> tuple[int, int]:
         """Maximum total lanes per axis (horizontal corridors, vertical corridors).
 

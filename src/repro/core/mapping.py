@@ -12,13 +12,19 @@ This implements the three pre-processing steps of Ecmas (Section IV-B1):
 3. **Bandwidth adjusting** — pre-route every CNOT along its unconstrained
    shortest path, attribute the load to corridors, and hand the chip's spare
    lanes to the most loaded corridors.
+
+Each step is one routine for square and tile-graph chips.  The answers that
+depend on the geometry come from the chip layer: the slot regions of
+:mod:`repro.chip.regions`, :meth:`~repro.chip.chip.Chip.slot_distance`, the
+routing graph's corridor keys and :attr:`~repro.chip.chip.Chip.lane_budget_scope`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.chip.chip import Chip, TileSlot
+from repro.chip.chip import Chip
+from repro.chip.regions import slot_region
 from repro.chip.routing_graph import tile_node_for
 from repro.circuits.circuit import Circuit
 from repro.circuits.comm_graph import CommunicationGraph
@@ -27,13 +33,8 @@ from repro.core.engines import routing_for
 from repro.errors import ChipError, MappingError
 from repro.partition.placement import (
     Placement,
-    alive_in_window,
     best_placement,
     communication_cost,
-    graph_best_placement,
-    graph_random_placement,
-    graph_snake_placement,
-    graph_spectral_placement,
     random_placement,
     spectral_placement,
     trivial_snake_placement,
@@ -67,7 +68,9 @@ def determine_shape(num_qubits: int, chip: Chip) -> tuple[int, int]:
     On a defective chip a shape only qualifies when its window (anchored at
     the tile-array origin) still holds ``num_qubits`` *alive* slots; when no
     compact shape survives the defects, the full tile array is used.  A chip
-    without enough alive slots at all raises :class:`ChipError`.
+    without enough alive slots at all raises :class:`ChipError`.  Tile-graph
+    chips have no sub-windows; their shape is the whole graph,
+    ``(num_nodes, 1)`` in slot addressing.
     """
     if num_qubits > chip.num_tile_slots:
         raise MappingError(
@@ -78,84 +81,40 @@ def determine_shape(num_qubits: int, chip: Chip) -> tuple[int, int]:
             f"chip has {chip.num_alive_tile_slots} alive tile slots "
             f"({len(chip.defects.dead_tiles)} dead) but the circuit needs {num_qubits}"
         )
-    if chip.tile_graph is not None:
-        # Graph chips have no rectangular windows; the "shape" is the whole
-        # graph, reported as (num_nodes, 1) to match the slot addressing.
-        return (chip.tile_rows, chip.tile_cols)
-    dead = chip.defects.dead_set()
-    best: tuple[int, int] | None = None
-    best_key: tuple[int, int, int] | None = None
-    for rows in range(1, chip.tile_rows + 1):
-        cols = -(-num_qubits // rows)  # ceil division
-        while cols <= chip.tile_cols and alive_in_window(0, rows, 0, cols, dead) < num_qubits:
-            cols += 1  # widen the window until the dead tiles are compensated
-        if cols > chip.tile_cols:
-            continue
-        key = (rows + cols, abs(rows - cols), rows * cols)
-        if best_key is None or key < best_key:
-            best, best_key = (rows, cols), key
-    if best is None:
-        # Dead tiles ruled out every compact window; fall back to the full
-        # array, which the alive-slot check above guarantees is sufficient.
-        return (chip.tile_rows, chip.tile_cols)
-    return best
+    return slot_region(chip).compact_shape(num_qubits)
 
 
 def establish_placement(
     graph: CommunicationGraph,
-    shape: tuple[int, int],
+    chip: Chip,
+    shape: tuple[int, int] | None = None,
     strategy: str = "ecmas",
     attempts: int = 4,
     seed: int = 0,
-    dead: frozenset[tuple[int, int]] = frozenset(),
     placement_engine: str = "reference",
-    chip: Chip | None = None,
 ) -> Placement:
-    """Map qubits to tile slots within ``shape`` using the requested strategy.
+    """Map qubits to the alive tile slots of ``chip`` within ``shape``.
 
     Strategies: ``"ecmas"`` (multi-attempt recursive bisection, the default),
     ``"metis"`` (single-attempt recursive bisection, the Table II "Metis"
     column), ``"trivial"`` (EDPCI snake), ``"spectral"``, ``"random"``.
-    ``dead`` lists tile slots no strategy may use.  ``placement_engine``
-    picks the bisection core for the bisection-based strategies (classic KL
-    ``reference`` vs multilevel ``fast``); the other strategies ignore it.
-
-    Passing a graph ``chip`` (``tile_graph`` set) dispatches every strategy
-    to its graph-aware counterpart: bisection splits the tile graph's layout
-    instead of grid windows and costs use BFS hop distance; ``shape`` and
-    ``dead`` are then taken from the chip itself.
+    ``shape`` is the window chosen by :func:`determine_shape` (default: the
+    whole tile array).  ``placement_engine`` picks the bisection core for
+    the bisection-based strategies (classic KL ``reference`` vs multilevel
+    ``fast``); the other strategies ignore it.
     """
-    if chip is not None and chip.tile_graph is not None:
-        if strategy == "ecmas":
-            return graph_best_placement(
-                graph, chip, attempts=attempts, seed=seed, engine=placement_engine
-            )
-        if strategy == "metis":
-            return graph_best_placement(
-                graph, chip, attempts=1, seed=seed, engine=placement_engine
-            )
-        if strategy == "trivial":
-            return graph_snake_placement(graph.num_qubits, chip)
-        if strategy == "spectral":
-            return graph_spectral_placement(graph, chip)
-        if strategy == "random":
-            return graph_random_placement(graph.num_qubits, chip, seed=seed)
-        raise MappingError(f"unknown placement strategy {strategy!r}")
-    rows, cols = shape
     if strategy == "ecmas":
         return best_placement(
-            graph, rows, cols, attempts=attempts, seed=seed, dead=dead, engine=placement_engine
+            graph, chip, shape, attempts=attempts, seed=seed, engine=placement_engine
         )
     if strategy == "metis":
-        return best_placement(
-            graph, rows, cols, attempts=1, seed=seed, dead=dead, engine=placement_engine
-        )
+        return best_placement(graph, chip, shape, attempts=1, seed=seed, engine=placement_engine)
     if strategy == "trivial":
-        return trivial_snake_placement(graph.num_qubits, rows, cols, dead=dead)
+        return trivial_snake_placement(graph.num_qubits, chip, shape)
     if strategy == "spectral":
-        return spectral_placement(graph, rows, cols, dead=dead)
+        return spectral_placement(graph, chip, shape)
     if strategy == "random":
-        return random_placement(graph.num_qubits, rows, cols, seed=seed, dead=dead)
+        return random_placement(graph.num_qubits, chip, shape, seed=seed)
     raise MappingError(f"unknown placement strategy {strategy!r}")
 
 
@@ -164,12 +123,15 @@ def corridor_load(
     placement: Placement,
     graph: CommunicationGraph,
     engine: str = "reference",
-) -> tuple[dict[int, float], dict[int, float]]:
+) -> dict[tuple[str, int], float]:
     """Pre-route every CNOT (ignoring conflicts) and accumulate corridor load.
 
-    Returns per-corridor load for horizontal and vertical corridors.  The
-    load of an edge's corridor increases by the CNOT multiplicity of the pair
-    whose unconstrained shortest path uses that edge.
+    Returns the load per corridor, keyed as
+    :meth:`~repro.chip.routing_graph.RoutingGraph.corridor_of` names them:
+    ``("h", r)`` and ``("v", c)`` on square chips, ``("e", index)`` on
+    graph chips.  The load of an edge's corridor increases by the CNOT
+    multiplicity of the pair whose unconstrained shortest path uses that
+    edge; corridors no path crosses are absent.
 
     Routing state comes from the :func:`repro.core.engines.routing_for`
     seam, so daemon processes reuse their warm per-chip graphs here instead
@@ -179,8 +141,7 @@ def corridor_load(
     the accumulated loads are engine-independent.
     """
     routing_graph, router = routing_for(chip, engine)
-    h_load: dict[int, float] = {r: 0.0 for r in range(chip.tile_rows + 1)}
-    v_load: dict[int, float] = {c: 0.0 for c in range(chip.tile_cols + 1)}
+    load: dict[tuple[str, int], float] = {}
     empty = CapacityUsage()
     for a, b, weight in graph.edges():
         source = tile_node_for(placement.slot_of(a))
@@ -193,61 +154,76 @@ def corridor_load(
             continue  # disconnected pair (defective chips); no load to record
         for edge_a, edge_b in zip(path.nodes, path.nodes[1:]):
             corridor = routing_graph.corridor_of(edge_a, edge_b)
-            if corridor is None:
-                continue
-            kind, index = corridor
-            if kind == "h":
-                h_load[index] += weight
-            else:
-                v_load[index] += weight
-    return h_load, v_load
-
-
-def edge_load(
-    chip: Chip,
-    placement: Placement,
-    graph: CommunicationGraph,
-    engine: str = "reference",
-) -> dict[int, float]:
-    """Graph-chip counterpart of :func:`corridor_load`: per-edge path load.
-
-    Pre-routes every CNOT over the unconstrained canonical path and
-    accumulates the pair's multiplicity on each tile-graph edge the path
-    crosses (keyed by edge index).  Engine-independent for the same reason
-    as :func:`corridor_load`.
-    """
-    routing_graph, router = routing_for(chip, engine)
-    load: dict[int, float] = {e: 0.0 for e in range(chip.tile_graph.num_edges)}
-    empty = CapacityUsage()
-    for a, b, weight in graph.edges():
-        source = tile_node_for(placement.slot_of(a))
-        target = tile_node_for(placement.slot_of(b))
-        if router is not None:
-            path = router.find(empty, source, target)
-        else:
-            path = find_path(routing_graph, empty, source, target)
-        if path is None:
-            continue  # disconnected pair (defective chips); no load to record
-        for edge_a, edge_b in zip(path.nodes, path.nodes[1:]):
-            corridor = routing_graph.corridor_of(edge_a, edge_b)
-            if corridor is None:
-                continue
-            load[corridor[1]] += weight
+            if corridor is not None:
+                load[corridor] = load.get(corridor, 0.0) + weight
     return load
 
 
-def adjust_edge_bandwidth(
+# perfbench/tracing.py wraps this name; it is the unified function.
+edge_load = corridor_load
+
+
+def adjust_bandwidth(
     chip: Chip, placement: Placement, graph: CommunicationGraph, engine: str = "reference"
 ) -> Chip:
-    """Per-edge bandwidth adjusting for graph chips.
+    """Redistribute spare lanes towards the most loaded corridors.
 
-    Every edge starts at one lane; the remaining width of each node's budget
-    is then granted to edges in descending load order (ties broken by edge
-    index), an edge receiving another lane only while *both* its endpoints
-    have budget left.  With no spare budget anywhere (the default budgets
-    derived from nominal bandwidths on a uniform chip) the chip is returned
-    unchanged.
+    Every corridor keeps at least one lane and the chip's physical lane
+    budget is respected.  The budget's scope
+    (:attr:`~repro.chip.chip.Chip.lane_budget_scope`) selects the policy:
+
+    * ``"axis"`` (square chips) — per-axis largest remainder: each axis's
+      spare lanes go to its corridors in proportion to their load;
+    * ``"node"`` (graph chips) — per-node greedy: every edge starts at one
+      lane, then spare node width goes to edges in descending load order
+      while both endpoints have budget left.
+
+    Without spare budget (the minimum viable chip) the chip is returned
+    unchanged and no CNOT is pre-routed.
     """
+    return _ALLOCATION_POLICIES[chip.lane_budget_scope](chip, placement, graph, engine)
+
+
+def _allocate_per_axis(
+    chip: Chip, placement: Placement, graph: CommunicationGraph, engine: str
+) -> Chip:
+    h_budget, v_budget = chip.lane_budget_per_axis()
+    h_corridors, v_corridors = chip.tile_rows + 1, chip.tile_cols + 1
+    if h_budget <= h_corridors and v_budget <= v_corridors:
+        return chip
+    load = corridor_load(chip, placement, graph, engine=engine)
+    h_bandwidths = _distribute([load.get(("h", r), 0.0) for r in range(h_corridors)], h_budget)
+    v_bandwidths = _distribute([load.get(("v", c), 0.0) for c in range(v_corridors)], v_budget)
+    return chip.with_bandwidths(h_bandwidths, v_bandwidths)
+
+
+def _distribute(load: list[float], budget: int) -> list[int]:
+    """Give every corridor one lane, then spare lanes proportionally to load."""
+    corridors = len(load)
+    bandwidths = [1] * corridors
+    spare = budget - corridors
+    if spare <= 0:
+        return bandwidths
+    total_load = sum(load)
+    if total_load <= 0:
+        # No recorded traffic: spread the spare lanes evenly from the centre out.
+        order = sorted(range(corridors), key=lambda i: abs(i - corridors / 2.0 + 0.5))
+        for offset in range(spare):
+            bandwidths[order[offset % corridors]] += 1
+        return bandwidths
+    # Largest-remainder proportional allocation.
+    shares = [spare * load[i] / total_load for i in range(corridors)]
+    allocated = [int(share) for share in shares]
+    remaining = spare - sum(allocated)
+    remainder_order = sorted(range(corridors), key=lambda i: shares[i] - allocated[i], reverse=True)
+    for i in remainder_order[:remaining]:
+        allocated[i] += 1
+    return [1 + allocated[i] for i in range(corridors)]
+
+
+def _allocate_per_node(
+    chip: Chip, placement: Placement, graph: CommunicationGraph, engine: str
+) -> Chip:
     tile_graph = chip.tile_graph
     budgets = list(tile_graph.effective_node_budgets())
     bandwidths = [1] * tile_graph.num_edges
@@ -255,8 +231,9 @@ def adjust_edge_bandwidth(
         budgets[a] -= 1
         budgets[b] -= 1
     if all(b <= 0 for b in budgets):
-        return chip  # no spare width anywhere; skip the pre-routing pass
-    load = edge_load(chip, placement, graph, engine=engine)
+        return chip
+    corridors = corridor_load(chip, placement, graph, engine=engine)
+    load = [corridors.get(("e", index), 0.0) for index in range(tile_graph.num_edges)]
     order = sorted(range(tile_graph.num_edges), key=lambda e: (-load[e], e))
     granted = True
     while granted:
@@ -275,50 +252,8 @@ def adjust_edge_bandwidth(
     return chip.with_edge_bandwidths(bandwidths)
 
 
-def adjust_bandwidth(
-    chip: Chip, placement: Placement, graph: CommunicationGraph, engine: str = "reference"
-) -> Chip:
-    """Redistribute spare lanes towards the most loaded corridors.
-
-    The chip's per-axis lane budget is respected; every corridor keeps at
-    least one lane.  On the minimum viable chip there is no spare budget and
-    the chip is returned unchanged.  Graph chips redistribute per edge under
-    per-node width budgets instead (:func:`adjust_edge_bandwidth`).
-    """
-    if chip.tile_graph is not None:
-        return adjust_edge_bandwidth(chip, placement, graph, engine=engine)
-    h_budget, v_budget = chip.lane_budget_per_axis()
-    h_spare = h_budget - (chip.tile_rows + 1)
-    v_spare = v_budget - (chip.tile_cols + 1)
-    if h_spare <= 0 and v_spare <= 0:
-        return chip
-    h_load, v_load = corridor_load(chip, placement, graph, engine=engine)
-    h_bandwidths = _distribute(h_load, chip.tile_rows + 1, h_budget)
-    v_bandwidths = _distribute(v_load, chip.tile_cols + 1, v_budget)
-    return chip.with_bandwidths(h_bandwidths, v_bandwidths)
-
-
-def _distribute(load: dict[int, float], corridors: int, budget: int) -> list[int]:
-    """Give every corridor one lane, then spare lanes proportionally to load."""
-    bandwidths = [1] * corridors
-    spare = budget - corridors
-    if spare <= 0:
-        return bandwidths
-    total_load = sum(load.values())
-    if total_load <= 0:
-        # No recorded traffic: spread the spare lanes evenly from the centre out.
-        order = sorted(range(corridors), key=lambda i: abs(i - corridors / 2.0 + 0.5))
-        for offset in range(spare):
-            bandwidths[order[offset % corridors]] += 1
-        return bandwidths
-    # Largest-remainder proportional allocation.
-    shares = {i: spare * load.get(i, 0.0) / total_load for i in range(corridors)}
-    allocated = {i: int(shares[i]) for i in range(corridors)}
-    remaining = spare - sum(allocated.values())
-    remainder_order = sorted(range(corridors), key=lambda i: shares[i] - allocated[i], reverse=True)
-    for i in remainder_order[:remaining]:
-        allocated[i] += 1
-    return [1 + allocated[i] for i in range(corridors)]
+#: Lane-allocation policy per :attr:`~repro.chip.chip.Chip.lane_budget_scope`.
+_ALLOCATION_POLICIES = {"axis": _allocate_per_axis, "node": _allocate_per_node}
 
 
 def build_initial_mapping(
@@ -337,13 +272,12 @@ def build_initial_mapping(
     shape = determine_shape(circuit.num_qubits, chip)
     placement = establish_placement(
         graph,
+        chip,
         shape,
         strategy=placement_strategy,
         attempts=attempts,
         seed=seed,
-        dead=chip.defects.dead_set(),
         placement_engine=placement_engine,
-        chip=chip,
     )
     placement.validate(chip)
     adjusted_chip = adjust_bandwidth(chip, placement, graph, engine=routing_engine) if adjust else chip

@@ -25,9 +25,9 @@ def format_table(rows: Sequence[dict], columns: Sequence[str] | None = None, tit
     return "\n".join(lines) + "\n"
 
 
-def format_sweep(points: Sequence[SweepPoint], title: str = "") -> str:
-    """Render a figure sweep as an aligned text table grouped by series."""
-    rows = [
+def sweep_rows(points: Sequence[SweepPoint]) -> list[dict]:
+    """One row dict per sweep point: series, x, cycles, compile_s, then the extras."""
+    return [
         {
             "series": point.series,
             "x": point.x,
@@ -37,7 +37,11 @@ def format_sweep(points: Sequence[SweepPoint], title: str = "") -> str:
         }
         for point in points
     ]
-    return format_table(rows, title=title)
+
+
+def format_sweep(points: Sequence[SweepPoint], title: str = "") -> str:
+    """Render a figure sweep as an aligned text table grouped by series."""
+    return format_table(sweep_rows(points), title=title)
 
 
 def _fmt(value) -> str:

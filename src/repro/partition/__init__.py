@@ -8,11 +8,6 @@ from repro.partition.placement import (
     best_placement,
     check_placement_engine,
     communication_cost,
-    graph_best_placement,
-    graph_random_placement,
-    graph_recursive_bisection_placement,
-    graph_snake_placement,
-    graph_spectral_placement,
     random_placement,
     recursive_bisection_placement,
     spectral_placement,
@@ -34,9 +29,4 @@ __all__ = [
     "trivial_snake_placement",
     "spectral_placement",
     "random_placement",
-    "graph_recursive_bisection_placement",
-    "graph_best_placement",
-    "graph_snake_placement",
-    "graph_spectral_placement",
-    "graph_random_placement",
 ]

@@ -174,17 +174,14 @@ class InitialMappingPass(Pass):
         ctx.shape = determine_shape(ctx.circuit.num_qubits, chip)
         ctx.placement = establish_placement(
             graph,
+            chip,
             ctx.shape,
             strategy=strategy,
             attempts=attempts,
             seed=ctx.options.seed,
-            dead=chip.defects.dead_set(),
             placement_engine=check_placement_engine(ctx.placement_engine),
-            chip=chip,
         )
         ctx.placement.validate(chip)
-        # slot_distance is Manhattan on square chips (bit-identical costs)
-        # and BFS hop distance on graph chips.
         ctx.mapping_cost = communication_cost(graph, ctx.placement, distance=chip.slot_distance)
 
 

@@ -283,7 +283,8 @@ class TestDefectAwarePlacement:
         circuit = standard.qft(8)
         graph = circuit.communication_graph()
         dead = frozenset({(0, 0), (1, 1), (2, 2)})
-        placement = establish_placement(graph, (3, 4), strategy=strategy, dead=dead)
+        chip = _chip(rows=3, cols=4).with_defects(DefectSpec(dead_tiles=tuple(sorted(dead))))
+        placement = establish_placement(graph, chip, (3, 4), strategy=strategy)
         assert placement.num_qubits() == 8
         occupied = {(s.row, s.col) for s in placement.slots()}
         assert not occupied & dead
@@ -309,7 +310,7 @@ class TestDefectAwarePlacement:
     def test_placement_validate_rejects_dead_slot(self):
         chip = _chip().with_defects(DefectSpec(dead_tiles=((0, 0),)))
         placement = establish_placement(
-            standard.qft(4).communication_graph(), (2, 2), strategy="trivial"
+            standard.qft(4).communication_graph(), _chip(), (2, 2), strategy="trivial"
         )
         with pytest.raises(MappingError, match="dead"):
             placement.validate(chip)

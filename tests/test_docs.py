@@ -1,5 +1,5 @@
 """Docs-site guarantees: generated API reference in sync, offline build
-clean, docstring-coverage gate above threshold.
+clean, docstring coverage (the ``DOC001`` measure) above threshold.
 
 These run in the tier-1 suite (they are cheap) so docs drift fails locally,
 not just in the ``docs-build`` CI job.
@@ -7,6 +7,7 @@ not just in the ``docs-build`` CI job.
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 
 import build_docs  # noqa: E402  (tools/ is not a package)
-import check_docstrings  # noqa: E402
+
+from repro.analysis.docstrings import measure  # noqa: E402
 
 
 def test_http_api_reference_matches_schema():
@@ -49,23 +51,26 @@ def test_offline_builder_catches_broken_links(tmp_path):
 
 
 def test_docstring_coverage_gate():
-    """The interrogate-style gate holds at >= 80% repo-wide (and 100% where promised)."""
-    documented, total, missing = check_docstrings.measure(ROOT / "src" / "repro")
+    """Docstring coverage holds at >= 80% repo-wide (and 100% where promised)."""
+    documented, total, missing = measure(ROOT / "src" / "repro", ROOT / "src")
     coverage = 100.0 * documented / total
     assert coverage >= 80.0, f"docstring coverage fell to {coverage:.1f}%: {missing}"
     for package in ("pipeline", "routing", "chip", "service"):
-        documented, total, missing = check_docstrings.measure(ROOT / "src" / "repro" / package)
+        documented, total, missing = measure(ROOT / "src" / "repro" / package, ROOT / "src")
         assert documented == total, f"repro.{package} lost docstrings: {missing}"
 
 
 def test_docstring_gate_cli_passes():
+    """``repro lint --rules DOC001``, the CI docstring gate, exits clean."""
     result = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "check_docstrings.py"), "--fail-under", "80"],
+        [sys.executable, "-m", "repro", "lint", "--rules", "DOC001"],
         capture_output=True,
         text=True,
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
     assert result.returncode == 0, result.stdout + result.stderr
-    assert "PASSED" in result.stdout
+    assert result.stdout.startswith("clean:")
 
 
 def test_readme_is_not_stale():

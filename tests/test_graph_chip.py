@@ -6,8 +6,8 @@ The tile-graph milestone's acceptance path, end to end:
   BFS hop distance on graph chips, unreachable sentinel on split graphs;
 * the routing graph built from tile-graph edges (junction per node, corridor
   per edge, defects respected);
-* every graph placement strategy produces valid placements, and bandwidth
-  adjusting redistributes lanes per edge under node width budgets;
+* every placement strategy produces valid placements on graph chips, and
+  bandwidth adjusting redistributes lanes per edge under node width budgets;
 * heavy-hex and degree-3 sparse chips compile both models with both engines,
   bit-identical and validator-clean;
 * the viz, CLI ``--geometry`` flag, batch fingerprints and the compile
@@ -38,17 +38,16 @@ from repro.circuits.generators import get_benchmark, standard
 from repro.cli import main
 from repro.core.mapping import (
     adjust_bandwidth,
-    adjust_edge_bandwidth,
     build_initial_mapping,
-    edge_load,
+    corridor_load,
     establish_placement,
 )
 from repro.errors import ChipError
 from repro.partition import (
-    graph_best_placement,
-    graph_random_placement,
-    graph_snake_placement,
-    graph_spectral_placement,
+    best_placement,
+    random_placement,
+    spectral_placement,
+    trivial_snake_placement,
 )
 from repro.pipeline.batch import BatchJob
 from repro.pipeline.registry import run_pipeline_method
@@ -180,16 +179,16 @@ def test_graph_placement_strategies_are_valid_and_deterministic():
     chip = Chip.from_tile_graph(DD, 3, heavy_hex(3, 3))
     comm = standard.qft(8).communication_graph()
     placements = {
-        "snake": graph_snake_placement(8, chip),
-        "random": graph_random_placement(8, chip, seed=3),
-        "spectral": graph_spectral_placement(comm, chip),
-        "best": graph_best_placement(comm, chip, attempts=2),
+        "snake": trivial_snake_placement(8, chip),
+        "random": random_placement(8, chip, seed=3),
+        "spectral": spectral_placement(comm, chip),
+        "best": best_placement(comm, chip, attempts=2),
     }
     for name, placement in placements.items():
         placement.validate(chip)
         assert placement.num_qubits() == 8, name
         assert len(set(placement.slots())) == 8, name
-    assert graph_best_placement(comm, chip, attempts=2) == placements["best"]
+    assert best_placement(comm, chip, attempts=2) == placements["best"]
 
 
 def test_establish_placement_dispatches_on_graph_chips():
@@ -197,7 +196,7 @@ def test_establish_placement_dispatches_on_graph_chips():
     comm = standard.qft(8).communication_graph()
     for strategy in ("ecmas", "metis", "trivial", "spectral", "random"):
         placement = establish_placement(
-            comm, (chip.tile_rows, chip.tile_cols), strategy=strategy, chip=chip
+            comm, chip, (chip.tile_rows, chip.tile_cols), strategy=strategy
         )
         placement.validate(chip)
         assert placement.num_qubits() == 8
@@ -207,7 +206,7 @@ def test_placement_avoids_dead_tiles_on_graph_chips():
     chip = Chip.from_tile_graph(
         DD, 3, heavy_hex(3, 3), defects=DefectSpec(dead_tiles=((0, 0), (7, 0)))
     )
-    placement = graph_snake_placement(10, chip)
+    placement = trivial_snake_placement(10, chip)
     assert TileSlot(0, 0) not in placement.slots()
     assert TileSlot(7, 0) not in placement.slots()
 
@@ -217,10 +216,10 @@ def test_adjust_edge_bandwidth_redistributes_spare_lanes_by_load():
     # A path chip whose middle node has spare width: the loaded edge wins it.
     chip = _path_chip(4, node_budgets=(2, 3, 3, 2))
     comm = standard.ghz_state(4).communication_graph()
-    placement = graph_snake_placement(4, chip)
-    load = edge_load(chip, placement, comm)
-    assert set(load) <= {0, 1, 2}
-    adjusted = adjust_edge_bandwidth(chip, placement, comm)
+    placement = trivial_snake_placement(4, chip)
+    load = corridor_load(chip, placement, comm)
+    assert set(load) <= {("e", 0), ("e", 1), ("e", 2)}
+    adjusted = adjust_bandwidth(chip, placement, comm)
     assert sum(adjusted.tile_graph.bandwidths) > sum(chip.tile_graph.bandwidths)
     budgets = adjusted.tile_graph.effective_node_budgets()
     for node in range(4):
@@ -231,17 +230,20 @@ def test_adjust_edge_bandwidth_redistributes_spare_lanes_by_load():
 def test_adjust_edge_bandwidth_without_spare_budget_is_identity():
     chip = _path_chip(4)  # default budgets = incident sums, no spare anywhere
     comm = standard.ghz_state(4).communication_graph()
-    placement = graph_snake_placement(4, chip)
-    assert adjust_edge_bandwidth(chip, placement, comm) == chip
+    placement = trivial_snake_placement(4, chip)
+    assert adjust_bandwidth(chip, placement, comm) == chip
 
 
 def test_adjust_bandwidth_dispatches_graph_chips():
+    # Graph chips budget lanes per node, so the per-edge greedy policy runs:
+    # the three edges carry equal load, ties go to the lower edge index, and
+    # each middle node's one spare lane goes to its outer edge first.
     chip = _path_chip(4, node_budgets=(2, 3, 3, 2))
+    assert chip.lane_budget_scope == "node"
     comm = standard.ghz_state(4).communication_graph()
-    placement = graph_snake_placement(4, chip)
-    assert adjust_bandwidth(chip, placement, comm) == adjust_edge_bandwidth(
-        chip, placement, comm
-    )
+    placement = trivial_snake_placement(4, chip)
+    adjusted = adjust_bandwidth(chip, placement, comm)
+    assert adjusted.tile_graph.bandwidths == (2, 1, 2)
 
 
 def test_build_initial_mapping_on_graph_chip():
@@ -260,7 +262,7 @@ def test_render_placement_on_graph_chip_shows_nodes_edges_and_dead_tiles():
         heavy_hex(3, 3),
         defects=DefectSpec(dead_tiles=((9, 0),), disabled_segments=(("e", 0, 9),)),
     )
-    placement = graph_snake_placement(6, chip)
+    placement = trivial_snake_placement(6, chip)
     text = render_placement(chip, placement)
     assert "heavy_hex_3x3 graph" in text
     assert "9:X" in text  # dead tile

@@ -19,6 +19,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
+from repro.chip import Chip, DefectSpec, SurfaceCodeModel
 from repro.circuits.comm_graph import CommunicationGraph
 from repro.errors import PartitionError
 from repro.partition.coarsen import multilevel_bisection, quantize_weights
@@ -136,9 +137,9 @@ def test_multilevel_placement_covers_defective_chips(num_qubits, seed, data):
     graph = CommunicationGraph(num_qubits)
     for (a, b), w in edges.items():
         graph.add_cnot(a, b, w)
-    placement = recursive_bisection_placement(
-        graph, rows, cols, seed=seed, dead=dead, engine="fast"
-    )
+    chip = Chip.with_tile_array(SurfaceCodeModel.DOUBLE_DEFECT, 3, rows, cols)
+    chip = chip.with_defects(DefectSpec(dead_tiles=tuple(sorted(dead))))
+    placement = recursive_bisection_placement(graph, chip, seed=seed, engine="fast")
     slots = [placement.slot_of(q) for q in range(num_qubits)]
     assert len(set(slots)) == num_qubits, "two qubits share a tile slot"
     assert all((s.row, s.col) not in dead for s in slots), "a qubit landed on a dead tile"

@@ -14,7 +14,7 @@ def _encoded():
     return EncodedCircuit(
         model=SurfaceCodeModel.DOUBLE_DEFECT,
         chip=chip,
-        placement=trivial_snake_placement(4, 2, 2),
+        placement=trivial_snake_placement(4, chip),
         initial_cut_types={q: CutType.X for q in range(4)},
     )
 

@@ -24,7 +24,7 @@ def _simple_circuit():
 
 def _blank_encoded(circuit, cuts=None):
     chip = Chip.minimum_viable(DD, circuit.num_qubits, 3)
-    placement = trivial_snake_placement(circuit.num_qubits, chip.tile_rows, chip.tile_cols)
+    placement = trivial_snake_placement(circuit.num_qubits, chip)
     if cuts is None:
         cuts = {q: (CutType.X if q % 2 == 0 else CutType.Z) for q in range(circuit.num_qubits)}
     return EncodedCircuit(model=DD, chip=chip, placement=placement, initial_cut_types=cuts)
@@ -108,7 +108,7 @@ def test_capacity_violation_detected():
     for a, b in pairs:
         circuit.cx(a, b)
     chip = Chip.minimum_viable(DD, 16, 3)
-    placement = trivial_snake_placement(16, chip.tile_rows, chip.tile_cols)
+    placement = trivial_snake_placement(16, chip)
     encoded = EncodedCircuit(
         model=DD,
         chip=chip,
